@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet ci bench-smoke bench-json bench-openloop chaos
+.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench-smoke bench-json bench-openloop bench-e2e chaos
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# gofmt over every tracked Go file except ppclint's golden fixtures,
+# which are deliberately unformatted (the analyzers report positions in
+# them).
+fmt-check:
+	@out=$$(git ls-files '*.go' ':(exclude,glob)tools/ppclint/**/testdata/**' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
 # ppclint's own unit and golden-fixture tests (the linter lints itself
 # before it lints the tree).
 lint-selftest:
@@ -24,7 +31,7 @@ lint-selftest:
 ppclint: lint-selftest
 	$(GO) run ./tools/ppclint ./...
 
-lint: vet ppclint
+lint: fmt-check vet ppclint
 
 # Chaos/soak suite: deterministic fault injection (handler panics and
 # stalls, delayed ring publishes, sustained backpressure, the arena
@@ -47,6 +54,19 @@ BENCHTIME ?=
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_rt.json $(if $(BENCHTIME),-benchtime $(BENCHTIME))
 
+# The end-to-end benchmark (rtperf/, its own module outside go.work):
+# its own tests, then a 2-second run of every workload whose last line
+# must report a correct result with no failed operations.
+E2E_WORKLOADS ?= callpath rpc async-lanes
+bench-e2e:
+	cd rtperf && GOWORK=off $(GO) test ./...
+	@for w in $(E2E_WORKLOADS); do \
+		line=$$(bash rtperf/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-e2e: $$w is not correct or has failed operations"; exit 1;; esac; \
+	done
+
 # The open-loop tail-latency sweep alone (no microbenchmarks):
 # calibrates capacity, then drives Poisson load at 0.2/0.7/1.4x and
 # prints per-lane p50/p99/p999. Pass OPENLOOP_DUR=300ms for a quick
@@ -55,4 +75,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: build lint test race chaos bench-smoke
+ci: build lint test race chaos bench-smoke bench-e2e

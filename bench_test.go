@@ -202,6 +202,12 @@ func BenchmarkRTCallPooled(b *testing.B) { rtbench.SyncCallPooled(b) }
 // parallelism: one client (shard) per worker goroutine.
 func BenchmarkRTCallParallel(b *testing.B) { rtbench.SyncCallParallel(b) }
 
+// BenchmarkRTCallParallelSetupHeld is the same load with every client
+// built and held on the benchmark goroutine first, so the held
+// descriptors are allocated back to back: the guard for descriptor
+// false sharing between disjoint callers.
+func BenchmarkRTCallParallelSetupHeld(b *testing.B) { rtbench.SyncCallParallelSetupHeld(b) }
+
 // BenchmarkRTCallParallelPooled is the parallel load on the pooled
 // path, where same-shard workers bounce the free-list head line.
 func BenchmarkRTCallParallelPooled(b *testing.B) { rtbench.SyncCallParallelPooled(b) }

@@ -50,6 +50,7 @@ func main() {
 	rtBench("rt_call_deadline", rtbench.SyncCallDeadline)
 	rtBench("rt_call_deadline_short", rtbench.SyncCallDeadlineShort)
 	rtBench("rt_call_parallel", rtbench.SyncCallParallel)
+	rtBench("rt_call_parallel_setup_held", rtbench.SyncCallParallelSetupHeld)
 	rtBench("rt_call_parallel_pooled", rtbench.SyncCallParallelPooled)
 	rtBench("rt_central_parallel", rtbench.CentralParallel)
 	rtBench("rt_channel_parallel", rtbench.ChannelParallel)

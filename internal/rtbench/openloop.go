@@ -122,10 +122,10 @@ var OpenLoopPoints = []struct {
 
 // OpenLoopLane is one lane's outcome at one load point.
 type OpenLoopLane struct {
-	OfferedPerSec float64
-	Submitted     int64 // accepted by admission during the window
-	Shed          int64 // rejected (ErrShed or ErrBackpressure)
-	Completed     int64 // latency samples recorded
+	OfferedPerSec  float64
+	Submitted      int64 // accepted by admission during the window
+	Shed           int64 // rejected (ErrShed or ErrBackpressure)
+	Completed      int64 // latency samples recorded
 	P50, P99, P999 time.Duration
 }
 

@@ -136,6 +136,45 @@ func SyncCallParallel(b *testing.B) {
 	})
 }
 
+// SyncCallParallelSetupHeld is SyncCallParallel with every client
+// built and Hold()-ed on the benchmark goroutine before RunParallel —
+// the layout an application gets when one set-up goroutine creates the
+// callers it then hands out. The held descriptors are allocated back to
+// back, so any descriptor state two of them share on a cache line
+// shows up here as false sharing between otherwise disjoint callers
+// (SyncCallParallel's per-goroutine construction interleaves other
+// allocations and can hide it).
+//
+//ppc:coldpath -- benchmark harness; the measured path is rt.Client.Call
+func SyncCallParallelSetupHeld(b *testing.B) {
+	sys := rt.NewSystem()
+	defer sys.Close()
+	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
+		args[0]++
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// RunParallel starts GOMAXPROCS goroutines at the default
+	// parallelism: one pre-held client each.
+	clients := make([]*rt.Client, runtime.GOMAXPROCS(0))
+	for i := range clients {
+		clients[i] = sys.NewClient()
+		clients[i].Hold()
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := clients[next.Add(1)-1]
+		var args rt.Args
+		for pb.Next() {
+			if err := c.Call(svc.EP(), &args); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // SyncCallPooled measures the sequential fast path with the per-call
 // pool discipline: every call pops a descriptor from the shard's
 // Treiber free list and pushes it back — one CAS pair per call that

@@ -489,9 +489,11 @@ func (s *System) callHeld(sh *shard, cd *callDesc, ep EntryPointID, args *Args, 
 	cd.scratch = cd.scratch[:svc.scratchBytes]
 	// Completion accounting is inlined, not deferred: dispatch contains
 	// handler panics itself (runIsolated), so no unwind can skip these,
-	// and a deferred closure costs measurable time at call rates.
+	// and a deferred closure costs measurable time at call rates. The
+	// completion RMW lands on the line the admission just wrote, and
+	// doubles as the Calls count (Service.Calls).
 	err := s.dispatch(cd, svc, counters, e.h, args, program, false)
-	counters.completed.Add(1)
+	counters.syncDone.Add(1)
 	svc.notifyQuiesce()
 	if svc.health != nil {
 		svc.recordOutcome(counters, err)
@@ -601,7 +603,7 @@ func (s *System) serviceOne(sh *shard, e *epEntry, args *Args, program uint32, p
 		return ErrKilled
 	}
 	defer func() {
-		counters.completed.Add(1)
+		counters.syncDone.Add(1)
 		svc.notifyQuiesce()
 	}()
 
@@ -681,6 +683,9 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 
 	if svc.authorize != nil && !svc.authorize(program) {
 		counters.authFail.Add(1)
+		if !async {
+			counters.syncFail.Add(1)
+		}
 		// Conventional failure RC, masked off the payload-count bits the
 		// flags half reserves (payload.go) — a denied block must not read
 		// as carrying segments when the caller reuses it.
@@ -701,6 +706,9 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 	// of the paper's §2: the exception is delivered to the caller as an
 	// error, and the service stays up.
 	if fault := runIsolated(s, h, ctx, args); fault != nil {
+		if !async {
+			counters.syncFail.Add(1)
+		}
 		if npay != 0 {
 			cd.shard.releasePayloads(args, &ctx.pay)
 		}
@@ -708,9 +716,6 @@ func (s *System) dispatch(cd *callDesc, svc *Service, counters *shardCounters, h
 	}
 	if npay != 0 {
 		cd.shard.releasePayloads(args, &ctx.pay)
-	}
-	if !async {
-		counters.calls.Add(1)
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ import (
 //     and a reclaimed descriptor never repools ahead of the caller's
 //     accounting.
 //
-// The in-flight accounting (admitted / completed) brackets the
+// The in-flight accounting (admitted / syncDone) brackets the
 // *handler*, not the caller's wait: an orphaned handler still counts
 // in flight until it returns, so a soft Kill drains orphans too, and
 // System.Close's epoch check keeps a late reclaim from repopulating a
@@ -293,7 +293,7 @@ func (e *dlExec) loop() {
 		// Handler done: settle the in-flight accounting exactly as
 		// callHeld would — this covers orphaned calls too, which is what
 		// lets a soft Kill drain a wedged-then-returned handler.
-		req.counters.completed.Add(1)
+		req.counters.syncDone.Add(1)
 		req.svc.notifyQuiesce()
 		t.err = err
 		want := req.gen<<dlGenShift | dlPhaseWaiting
@@ -488,7 +488,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		c.beatTick()
 	}
 	// Increment-then-check admission, same protocol as callHeld. From
-	// here to the executor's completed.Add the call is in flight.
+	// here to the executor's syncDone.Add the call is in flight.
 	counters.admitted.Add(1)
 	if svc.state.Load() != svcActive {
 		svc.backOut(counters)

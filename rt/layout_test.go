@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -18,6 +19,22 @@ import (
 // shared); do not just update the numbers here.
 
 const lineBytes = 64
+
+// namedFieldsOnLine lists struct type typ's named fields, other than
+// except, that have a byte on cache line `line` of the struct.
+func namedFieldsOnLine(typ reflect.Type, line uintptr, except string) []string {
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || f.Name == except || f.Type.Size() == 0 {
+			continue
+		}
+		if f.Offset/lineBytes <= line && line <= (f.Offset+f.Type.Size()-1)/lineBytes {
+			names = append(names, f.Name)
+		}
+	}
+	return names
+}
 
 // TestRingLayout pins the async ring: each cursor owns its own cache
 // line and the struct tiles whole lines so embedding it 64-aligned
@@ -51,23 +68,27 @@ func TestRingLayout(t *testing.T) {
 }
 
 // TestCountersLayout pins the shardCounters striping: submission,
-// completion, health evidence, and gate state each own a line, and the
-// struct tiles 64 bytes because Service.perShard is a []shardCounters.
+// async completion, health evidence, and gate state each own a line,
+// and the struct tiles 64 bytes because Service.perShard is a
+// []shardCounters.
 //
 // The completion offset is the regression this file exists for: before
 // the layout analyzer, `completed` sat at offset 56 — on the line every
 // admitting caller writes — so each async completion invalidated the
-// submitters' counter line.
+// submitters' counter line. The sync completion (syncDone) is the
+// opposite case: it belongs on the submission line, so the warm sync
+// call's admission and completion RMWs hit one line the caller owns.
 func TestCountersLayout(t *testing.T) {
 	var c shardCounters
 	if s := unsafe.Sizeof(c); s%lineBytes != 0 {
 		t.Errorf("shardCounters size %d is not a multiple of %d", s, lineBytes)
 	}
 	lineOf := func(off uintptr) uintptr { return off / lineBytes }
-	submit := lineOf(unsafe.Offsetof(c.calls))
+	submit := lineOf(unsafe.Offsetof(c.admitted))
 	for name, off := range map[string]uintptr{
+		"syncDone": unsafe.Offsetof(c.syncDone),
+		"syncFail": unsafe.Offsetof(c.syncFail),
 		"asyncAdm": unsafe.Offsetof(c.asyncAdm),
-		"admitted": unsafe.Offsetof(c.admitted),
 		"authFail": unsafe.Offsetof(c.authFail),
 		"backouts": unsafe.Offsetof(c.backouts),
 		"inited":   unsafe.Offsetof(c.inited),
@@ -81,6 +102,9 @@ func TestCountersLayout(t *testing.T) {
 	gate := lineOf(unsafe.Offsetof(c.healthState))
 	if completed == submit {
 		t.Errorf("completed (offset %d) shares the submission line", unsafe.Offsetof(c.completed))
+	}
+	if others := namedFieldsOnLine(reflect.TypeFor[shardCounters](), completed, "completed"); len(others) != 0 {
+		t.Errorf("completed shares its line with %v; only async completions may write it", others)
 	}
 	if evidence == completed || evidence == submit {
 		t.Errorf("consecFaults (offset %d) shares a line with another stripe", unsafe.Offsetof(c.consecFaults))
@@ -99,6 +123,52 @@ func TestCountersLayout(t *testing.T) {
 	} {
 		if lineOf(off) != gate {
 			t.Errorf("%s (offset %d) left the gate line", name, off)
+		}
+	}
+}
+
+// TestCallDescLayout pins the call descriptor's line isolation. Every
+// warm call writes its descriptor (dispatch fills ctx, the held path
+// re-slices scratch), and descriptors allocated back to back — every
+// client built and held on one goroutine — were 112 bytes apart before
+// the pad, so neighbouring clients' calls false-shared a line. At
+// exactly 128 bytes the descriptor sits in a size class that is whole
+// lines: it starts on a line boundary and no neighbour reaches either
+// of its lines.
+func TestCallDescLayout(t *testing.T) {
+	var cd callDesc
+	const size = 2 * lineBytes
+	if s := unsafe.Sizeof(cd); s != size {
+		t.Errorf("callDesc size %d, want exactly %d (a size class of whole lines)", s, size)
+	}
+	// The per-call-written fields: ctx owns line 0, scratch sits
+	// wholly on line 1. With a line-aligned base (checked below), no
+	// neighbouring descriptor reaches either line.
+	if off := unsafe.Offsetof(cd.ctx); off != 0 {
+		t.Errorf("ctx at offset %d, want 0", off)
+	}
+	if others := namedFieldsOnLine(reflect.TypeFor[callDesc](), 0, "ctx"); len(others) != 0 {
+		t.Errorf("ctx shares line 0 with %v", others)
+	}
+	if lo, hi := unsafe.Offsetof(cd.scratch), unsafe.Offsetof(cd.scratch)+unsafe.Sizeof(cd.scratch)-1; lo/lineBytes != 1 || hi/lineBytes != 1 {
+		t.Errorf("scratch (bytes %d-%d) is not wholly on line 1", lo, hi)
+	}
+
+	// The fix relies on the allocator: a 128-byte object comes from a
+	// size class whose slots are 128 bytes apart in a page-aligned span.
+	// Allocate descriptors back to back on one goroutine — the layout
+	// rtperf's callpath and BenchmarkRTCallParallelSetupHeld build — and
+	// check each starts on a line.
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	sh := &sys.shards[0]
+	cds := make([]*callDesc, 64)
+	for i := range cds {
+		cds[i] = sh.newCD(defaultScratchBytes)
+	}
+	for i, p := range cds {
+		if addr := uintptr(unsafe.Pointer(p)); addr%lineBytes != 0 {
+			t.Errorf("descriptor %d at %#x is not line-aligned", i, addr)
 		}
 	}
 }

@@ -79,9 +79,11 @@ func packPayloadRef(gen uint32, byteOff int64, n int) PayloadRef {
 		uint64(n))
 }
 
-func (r PayloadRef) gen() uint32    { return uint32(uint64(r)>>payloadGenShift) & payloadGenMask }
-func (r PayloadRef) byteOff() int64 { return int64(uint64(r)>>payloadOffShift&payloadOffMask) << lineShift }
-func (r PayloadRef) staged() bool   { return uint64(r)&payloadStagedBit != 0 }
+func (r PayloadRef) gen() uint32 { return uint32(uint64(r)>>payloadGenShift) & payloadGenMask }
+func (r PayloadRef) byteOff() int64 {
+	return int64(uint64(r)>>payloadOffShift&payloadOffMask) << lineShift
+}
+func (r PayloadRef) staged() bool { return uint64(r)&payloadStagedBit != 0 }
 
 // Len returns the segment's byte length (0 for the zero ref).
 func (r PayloadRef) Len() int { return int(uint64(r) & payloadLenMask) }

@@ -273,12 +273,21 @@ type Service struct {
 	perShard []shardCounters
 }
 
-// shardCounters keeps the submission side and the completion side on
-// separate cache lines: the admitting caller writes admitted/asyncAdm,
-// the servicing async worker writes completed, and neither invalidates
-// the other's line per request. The in-flight count is the difference
-// (admissions − completed), read only by control-plane code (kill
-// drains, stats).
+// shardCounters keeps the submission side and the async completion
+// side on separate cache lines: the synchronous caller writes
+// admitted and syncDone (a sync call completes on the goroutine that
+// admitted it, or on its deadline executor), the async submitter
+// writes asyncAdm, the servicing async worker writes completed, and
+// the worker never invalidates the submitters' line per request. The
+// warm sync call therefore pays two RMWs, both on the one submission
+// line. The in-flight count is the difference (admissions −
+// completions), read only by control-plane code (kill drains, stats).
+//
+// Service.Calls is derived, not counted: every admitted sync call that
+// reaches its handler bumps syncDone once, and the two failing exits
+// of dispatch (authorization denied, handler panic) bump syncFail, so
+// the successful sync calls are syncDone − syncFail with no per-call
+// counter of their own.
 //
 // Async admissions have their own counter, asyncAdm, doing double duty
 // as the AsyncCalls statistic: one increment per accepted request is
@@ -296,24 +305,28 @@ type Service struct {
 //
 //ppc:padded
 type shardCounters struct {
-	// Submission side: written by the admitting caller.
+	// Submission side: written by the admitting caller, and by the
+	// goroutine that completes its synchronous call.
 	//
 	//ppc:hotline(submit)
-	calls atomic.Int64
+	admitted atomic.Int64 // synchronous admissions
+	//ppc:hotline(submit)
+	syncDone atomic.Int64 // synchronous completions
 	//ppc:hotline(submit)
 	asyncAdm atomic.Int64
-	//ppc:hotline(submit)
-	admitted atomic.Int64 // synchronous admissions
 	//ppc:hotline(submit)
 	authFail atomic.Int64
 	//ppc:hotline(submit)
 	backouts atomic.Int64
 	//ppc:hotline(submit)
+	syncFail atomic.Int64 // sync calls denied or faulted (cold)
+	//ppc:hotline(submit)
 	inited atomic.Bool
-	_      [20]byte // pad the submission line; completion starts at 64
+	_      [12]byte // pad the submission line; completion starts at 64
 
-	// Completion side: written by whichever goroutine finishes the
-	// call — for async requests, an async worker on another processor.
+	// Async completion side: written by whichever goroutine settles an
+	// async request — a worker on another processor, or the expiry
+	// check at dequeue.
 	//
 	//ppc:hotline
 	completed atomic.Int64
@@ -358,12 +371,14 @@ type shardCounters struct {
 }
 
 // inFlight reads this shard's admitted-but-not-finished count. A
-// racing reader can observe completed ahead of the admission counters
-// and see a transiently negative value; control-plane loops compare
-// the summed total against zero after the counters have stopped
-// moving, where the difference is exact.
+// racing reader can observe completions ahead of the admission
+// counters and see a transiently negative value; control-plane loops
+// compare the summed total against zero after the counters have
+// stopped moving, where the difference is exact. The admissions are
+// loaded first: a completion loaded later can only be of a call
+// already counted, once a kill has stopped new admissions.
 func (c *shardCounters) inFlight() int64 {
-	return c.admitted.Load() + c.asyncAdm.Load() - c.completed.Load()
+	return c.admitted.Load() + c.asyncAdm.Load() - c.syncDone.Load() - c.completed.Load()
 }
 
 // EP returns the entry point ID.
@@ -372,11 +387,14 @@ func (s *Service) EP() EntryPointID { return s.ep }
 // Name returns the service name.
 func (s *Service) Name() string { return s.name }
 
-// Calls sums the per-shard synchronous call counters.
+// Calls sums the successful synchronous calls: per shard, the sync
+// completions less those that were denied or faulted. Exact once the
+// service is quiescent; a racing read may be off by the calls in
+// progress.
 func (s *Service) Calls() int64 {
 	var n int64
 	for i := range s.perShard {
-		n += s.perShard[i].calls.Load()
+		n += s.perShard[i].syncDone.Load() - s.perShard[i].syncFail.Load()
 	}
 	return n
 }

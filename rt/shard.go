@@ -54,13 +54,38 @@ const closePollInterval = 10 * time.Microsecond
 // that successive calls to *different* services serially share —
 // the cache-footprint optimization of §2. Descriptors live in
 // per-shard lock-free pools.
+//
+// Every call a descriptor serves writes it (dispatch fills ctx, the
+// held path re-slices scratch), so a descriptor must share no cache
+// line with any other: clients built one after another on one
+// goroutine get their held descriptors allocated back to back. The
+// tail pad makes the struct exactly 128 bytes, and Go's 128-byte size
+// class is a multiple of 64, so every descriptor starts on a line
+// boundary and owns both of its lines outright, whichever goroutine
+// allocated it (pinned in layout_test.go). ctx fills line 0; line 1
+// holds scratch and the words written only at pool and ownership
+// transitions — all by the descriptor's current serial owner.
+//
+//ppc:padded
 type callDesc struct {
-	next    atomic.Pointer[callDesc]
-	ctx     Ctx
+	// ctx is the handler's view of the call, rewritten by dispatch on
+	// every call.
+	//
+	//ppc:hotline
+	ctx Ctx
+	// scratch is the per-call scratch buffer, re-sliced to the
+	// service's size on every held call.
+	//
+	//ppc:hotline(desc)
 	scratch []byte
-	// initialized tracks which services' init handlers have run
-	// through this descriptor's shard (see Ctx.SetHandler).
+	// shard is the descriptor's home shard (immutable).
+	//
+	//ppc:hotline(desc)
 	shard *shard
+	// next links the descriptor into its shard's free pool.
+	//
+	//ppc:hotline(desc)
+	next atomic.Pointer[callDesc]
 	// owner is the packed gen-tagged ownership word (owner.go):
 	// gen<<32 | clientID<<3 | state. Meaningful only while a client
 	// holds the descriptor; pooled-path calls never touch it. The
@@ -68,7 +93,9 @@ type callDesc struct {
 	// for ROADMAP item 1's mmap'd descriptors.
 	//
 	//ppc:atomic
+	//ppc:hotline(desc)
 	owner atomic.Uint64
+	_     [16]byte // tile to 128 bytes: a size class that is whole lines
 }
 
 // epEntry is one shard's replica of a bound entry point — the §4.5.5
@@ -241,7 +268,7 @@ type shard struct {
 	tenantList atomic.Pointer[[]*tenantBucket]
 	//ppc:atomic
 	tenantThrottled atomic.Int64
-	laneWeights [NumLaneClasses]int32
+	laneWeights     [NumLaneClasses]int32
 	// yieldPerBatch: Options.CooperativeYield — the worker cedes the P
 	// once per serviced batch so sleeping submitters can publish.
 	// Read-only after construction, like the rest of this block.
