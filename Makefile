@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint ppclint lint-selftest vet fmt-check ci bench-smoke bench-json bench-openloop bench-e2e chaos
+.PHONY: build test race soak-deadline lint ppclint lint-selftest vet fmt-check ci bench-smoke bench-json bench-openloop bench-e2e chaos
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,12 @@ test:
 # Race detector over the concurrency-sensitive packages (CI matrix).
 race:
 	$(GO) test -race ./rt ./internal/core ./internal/lrpc ./internal/locks ./internal/workload
+
+# The deadline handoff's park handshakes under the race detector,
+# repeated: the deadline, orphan and cancel tests (a lost wake-up hangs
+# or fails one of them).
+soak-deadline:
+	$(GO) test -race -count=20 -run 'Deadline|Orphan|Cancel' ./rt
 
 vet:
 	$(GO) vet ./...
@@ -75,4 +81,4 @@ OPENLOOP_DUR ?= 2s
 bench-openloop:
 	$(GO) test -run TestOpenLoopSweepReport -v -count=1 ./internal/rtbench -openloop-dur $(OPENLOOP_DUR)
 
-ci: build lint test race chaos bench-smoke bench-e2e
+ci: build lint test race soak-deadline chaos bench-smoke bench-e2e

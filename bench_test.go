@@ -188,6 +188,10 @@ func BenchmarkRTCall(b *testing.B) { rtbench.SyncCall(b) }
 // sync fast path.
 func BenchmarkRTCallDeadline(b *testing.B) { rtbench.SyncCallDeadline(b) }
 
+// BenchmarkRTCallDeadlineParallel is the deadline call with one client
+// per RunParallel goroutine — the end-to-end rpc workload's shape.
+func BenchmarkRTCallDeadlineParallel(b *testing.B) { rtbench.SyncCallDeadlineParallel(b) }
+
 // BenchmarkRTCallDeadlineShort arms a deadline inside the wheel's first
 // revolution, so the watchdog tick cascades the node while the warm
 // path re-arms it — the wheel's contended shape.

@@ -49,6 +49,7 @@ func main() {
 	rtBench("rt_call_pooled", rtbench.SyncCallPooled)
 	rtBench("rt_call_deadline", rtbench.SyncCallDeadline)
 	rtBench("rt_call_deadline_short", rtbench.SyncCallDeadlineShort)
+	rtBench("rt_call_deadline_parallel", rtbench.SyncCallDeadlineParallel)
 	rtBench("rt_call_parallel", rtbench.SyncCallParallel)
 	rtBench("rt_call_parallel_setup_held", rtbench.SyncCallParallelSetupHeld)
 	rtBench("rt_call_parallel_pooled", rtbench.SyncCallParallelPooled)

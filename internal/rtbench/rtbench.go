@@ -53,11 +53,14 @@ func SyncCall(b *testing.B) {
 // SyncCallDeadline is SyncCall with a (generous) per-call deadline
 // armed on every iteration: the warm held-CD path plus the deadline
 // machinery — ticket reuse, one expiry store into the shard's timer
-// wheel, and the SPSC work-word handoff to the executor goroutine (no
-// timers, no channels on this path). The rt_call → rt_call_deadline
-// ratio is the full cost of making a sync call cancellable; at
-// GOMAXPROCS=1 it is floored by the two scheduler switches the
-// caller↔executor handoff requires (see EXPERIMENTS.md).
+// wheel, and the parked direct handoff to the executor goroutine (no
+// timers). The handoff is two channel wake-ups per call: the caller
+// wakes the parked executor and parks on its ticket, and the executor
+// wakes the caller and parks again. Each wake puts the woken goroutine
+// in the waker's P's runnext, so the switch stays on one P with no
+// global run queue. The rt_call → rt_call_deadline ratio is the full
+// cost of making a sync call cancellable, floored by those two
+// scheduler switches (see EXPERIMENTS.md E14).
 //
 //ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
 func SyncCallDeadline(b *testing.B) {
@@ -81,6 +84,34 @@ func SyncCallDeadline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// SyncCallDeadlineParallel is SyncCallDeadline under full parallelism:
+// one client (shard, executor) per RunParallel goroutine — the shape of
+// the end-to-end rpc workload, where every processor runs a caller and
+// its executor. Idle executors must not take CPU their callers need.
+//
+//ppc:coldpath -- benchmark harness; the measured path is rt.Client.CallDeadline
+func SyncCallDeadlineParallel(b *testing.B) {
+	sys := rt.NewSystem()
+	defer sys.Close()
+	svc, err := sys.Bind(rt.ServiceConfig{Name: "null", Handler: func(ctx *rt.Ctx, args *rt.Args) {
+		args[0]++
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const deadline = time.Hour // never expires; measures the arming cost
+	b.RunParallel(func(pb *testing.PB) {
+		c := sys.NewClient()
+		defer c.Release()
+		var args rt.Args
+		for pb.Next() {
+			if err := c.CallDeadline(svc.EP(), &args, deadline); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // SyncCallDeadlineShort is SyncCallDeadline with a deadline inside the

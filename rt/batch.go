@@ -65,8 +65,10 @@ func (b *Batch) Len() int { return len(b.reqs) }
 // Add stages one request. The warm path is the record-gate CAS pair
 // (uncontended, on the client's own record line), a bounds check, and
 // a copy into the retained buffer. A request added to a scavenged
-// client's batch is dropped and its payload leases settled — the
-// staging buffer belongs to the scavenger once the client is dead.
+// client's batch is dropped — the staging buffer belongs to the
+// scavenger once the client is dead, and so do the leases the request
+// carries: they are still tracked on the record, whose drain settles
+// them (the call paths' consumeArgs decline makes the same hand-over).
 //
 //ppc:hotpath
 func (b *Batch) Add(args *Args) {
@@ -75,7 +77,6 @@ func (b *Batch) Add(args *Args) {
 	// scavenger drains b.reqs under the terminal gate, so an ungated
 	// Add could stage a request behind (or race) that drain.
 	if rec.enter() != nil {
-		b.c.shard.releaseArgsPayloads(args)
 		return
 	}
 	if n := payloadCount(args[OpFlagsWord]); n != 0 {

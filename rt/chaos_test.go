@@ -474,15 +474,15 @@ func TestChaosDomainDeath(t *testing.T) {
 			errors.Is(err, ErrBackpressure) || errors.Is(err, ErrArenaFull)
 	}
 	stop := make(chan struct{})
+	var finals [4]*Client
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			c := initial[g]
-			// The final identity dies too: the convergence check below
-			// wants every created client through the scavenger.
-			defer func() { c.Abandon() }()
+			// Hand the final identity back: it dies after the storm.
+			defer func() { finals[g] = c }()
 			b := c.NewBatch(svc.EP(), 4)
 			var args Args
 			for i := 0; ; i++ {
@@ -567,6 +567,25 @@ func TestChaosDomainDeath(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	gate.Store(false)
+	// Each goroutine's final identity dies too, idle, holding a
+	// descriptor and one tracked lease: the convergence check below wants
+	// every created client through the scavenger, and these deaths make
+	// its condemn and lease legs certain rather than a matter of where
+	// stop caught the loop (mid-orphan, or just after a recycle, no
+	// client holds a descriptor). With the abandon fault gated off
+	// nothing else can kill them first; a final client already dead is
+	// recycled, as the loop would.
+	for _, c := range finals {
+		if c.Abandoned() {
+			c = sys.NewClientOnShard(0)
+			created.Add(1)
+		}
+		c.Hold()
+		if _, _, err := c.AllocPayload(64); err != nil || !c.Held() {
+			t.Fatalf("final client: held = %v, lease: %v", c.Held(), err)
+		}
+		c.Abandon()
+	}
 	sys.ClearFaults()
 
 	// The tentpole's convergence contract. HeldCDs == 0 and
@@ -587,7 +606,9 @@ func TestChaosDomainDeath(t *testing.T) {
 	if st.TombstonedCompletions == 0 {
 		t.Fatal("storm never exercised the tombstone completion path")
 	}
-	if st.ScavengedCDs == 0 || st.ScavengedLeases == 0 {
+	// The final deaths are the scavenger's alone to settle: no owner
+	// call follows to reclaim the descriptor or the lease itself.
+	if n := int64(len(finals)); st.ScavengedCDs < n || st.ScavengedLeases < n {
 		t.Fatalf("scavenger idle through the storm: %+v", st)
 	}
 	chaosConverge(t, sys, svc, base)

@@ -26,6 +26,17 @@ import (
 // and performs the dlWaiting→dlOrphaned CAS on behalf of expired
 // callers. The caller itself parks only on the ticket.
 //
+// The handoff is the paper's hand-off scheduling in Go terms. Both
+// sides park as soon as they have nothing to do: the caller publishes
+// the request, wakes the parked executor and parks on the ticket; the
+// executor runs the handler, settles the state CAS, wakes the caller
+// and parks again. Neither spins or yields. A channel send to a parked
+// goroutine puts it in the sender's P's runnext, so each park switches
+// straight to the counterparty on the same P — no global run queue, no
+// idle executor burning the CPU its caller needs. Every park is an
+// advertise-then-re-check Dekker handshake against the waker, and every
+// winner of the state CAS wakes the loser (docs/INVARIANTS.md).
+//
 // The ticket state word packs a per-executor generation with a phase
 // (gen<<2 | waiting/done/orphaned). The generation is what makes the
 // watchdog's asynchronous CAS safe: a wheel entry from call N that
@@ -95,16 +106,6 @@ const (
 // with a real state word (phase bits 0 are idle-only).
 const dlCancelled = ^uint64(0)
 
-// Spin shaping for the caller wait and the executor idle loop. At
-// GOMAXPROCS == 1 busy-spinning is pure waste — the counterparty can
-// only run if we yield — so the per-round spin is zero and each round
-// is a Gosched; on multicore the spin phase resolves a short handler
-// without any scheduler transit.
-const (
-	dlSpinIters   = 64
-	dlYieldRounds = 128
-)
-
 // Executor work-word values.
 const (
 	dlWorkNone uint32 = iota
@@ -127,8 +128,8 @@ type dlTicket struct {
 	//ppc:publishes(args, err)
 	state atomic.Uint64
 	// parked is the caller's Dekker flag: wakers send a done token only
-	// when it is set, so the spin-resolved warm path never touches the
-	// channel.
+	// when it is set, so a call settled before the caller parks never
+	// touches the channel.
 	//
 	//ppc:atomic
 	parked atomic.Int32
@@ -149,7 +150,7 @@ type dlTicket struct {
 // a previous call is harmless (drained at the next arm, or treated as
 // spurious by the park loop).
 //
-//ppc:coldpath -- the caller is parked; the scheduler is already involved
+//ppc:coldpath -- sends only to a parked caller: the park already paid for the scheduler
 func (t *dlTicket) wake() {
 	if t.parked.Load() != 0 {
 		select {
@@ -199,10 +200,9 @@ type dlReq struct {
 }
 
 // dlExec is the per-client deadline executor: one goroutine, one
-// inline request slot, one reusable ticket, one wheel node. No
-// channels on the warm handoff — the work word plus a parked-gated
-// wake token replace the old request channel, and the wheel replaces
-// the per-call timer.
+// inline request slot, one reusable ticket, one wheel node. The work
+// word plus a parked-gated wake token replace the old request channel,
+// and the wheel replaces the per-call timer.
 type dlExec struct {
 	sh   *shard
 	node *dlNode
@@ -221,7 +221,6 @@ type dlExec struct {
 	wake   chan struct{} // buffered(1) executor wakeup
 	req    dlReq         // caller-written, work-word-published
 	gen    uint64        // caller-private arm counter
-	spin   int32         // busy-spin iterations per round (0 at GOMAXPROCS=1)
 	ticket dlTicket
 }
 
@@ -235,9 +234,6 @@ func (c *Client) armDeadlineExec() {
 	e := &dlExec{sh: c.shard}
 	e.wake = make(chan struct{}, 1)
 	e.ticket.done = make(chan struct{}, 1)
-	if runtime.GOMAXPROCS(0) > 1 {
-		e.spin = dlSpinIters
-	}
 	// The node carries the client's current ownership word (owner.go):
 	// gen-tagged, offset-stable, the wheel-node leg of the domain-death
 	// layout.
@@ -254,34 +250,19 @@ func (c *Client) armDeadlineExec() {
 // loop runs handlers on behalf of deadline callers until retired
 // (Client.Release's exit sentinel) or orphaned.
 func (e *dlExec) loop() {
-	spun := 0
 	for {
 		w := e.work.Load()
 		if w == dlWorkNone {
-			for i := int32(0); i < e.spin; i++ {
-				if e.work.Load() != dlWorkNone {
-					break
-				}
+			// Park at once: advertise, re-check, block (Dekker handshake
+			// with the caller's publish). A stale token wakes us
+			// spuriously; the loop just re-checks.
+			e.parked.Store(1)
+			if e.work.Load() == dlWorkNone {
+				<-e.wake
 			}
-			if w = e.work.Load(); w == dlWorkNone {
-				if spun < dlYieldRounds {
-					spun++
-					runtime.Gosched()
-					continue
-				}
-				// Park: advertise, re-check, block (Dekker handshake with
-				// the caller's publish). A stale token wakes us spuriously;
-				// the loop just re-checks.
-				e.parked.Store(1)
-				if e.work.Load() == dlWorkNone {
-					<-e.wake
-				}
-				e.parked.Store(0)
-				spun = 0
-				continue
-			}
+			e.parked.Store(0)
+			continue
 		}
-		spun = 0
 		//ppc:nopublish -- consume-side reset: empties the slot, publishes nothing
 		e.work.Store(dlWorkNone)
 		if w == dlWorkExit {
@@ -467,9 +448,6 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 			return ErrClientAbandoned
 		}
 	}
-	if c.dl == nil {
-		c.armDeadlineExec()
-	}
 	// Ownership entry: one life-state load (the same decline the plain
 	// path performs), then flip the word held→busy — the deadline path
 	// is the one that transitions it, because the descriptor must stay
@@ -483,6 +461,14 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 			svc.settleProbe(counters, ErrClientAbandoned)
 		}
 		return c.ownerLost(args)
+	}
+	// Arm only with the word busy: the scavenger defers a busy
+	// descriptor's whole record, so its executor-retire step cannot
+	// have walked past the record mirror this publishes. Arming before
+	// the entry CAS could publish the mirror behind a finished walk and
+	// strand the executor and its wheel node.
+	if c.dl == nil {
+		c.armDeadlineExec()
 	}
 	if c.rec.epochs != 0 {
 		c.beatTick()
@@ -544,7 +530,7 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 		default:
 		}
 	}
-	s := c.dlWait(exec, t, gen, cancel)
+	s := c.dlWait(t, gen, cancel)
 	switch {
 	case s == dlCancelled:
 		return c.cancelAttempt(sh, svc, counters, exec, t, gen, args, probe, ctx.Err())
@@ -568,21 +554,12 @@ func (c *Client) callDeadline(ep EntryPointID, args *Args, d time.Duration, canc
 	}
 }
 
-// dlWait waits for the call's state word to leave gen|waiting:
-// adaptive spin (pure yields at GOMAXPROCS=1, busy-spin rounds on
-// multicore), then a parked wait on the ticket's wake token with the
+// dlWait waits for the call's state word to leave gen|waiting: one
+// re-check, then a parked wait on the ticket's wake token with the
 // Dekker handshake against the wakers. Returns the observed state, or
 // dlCancelled if the cancel channel fired first.
-func (c *Client) dlWait(e *dlExec, t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
+func (c *Client) dlWait(t *dlTicket, gen uint64, cancel <-chan struct{}) uint64 {
 	want := gen<<dlGenShift | dlPhaseWaiting
-	for r := 0; r < dlYieldRounds; r++ {
-		for i := int32(0); i <= e.spin; i++ {
-			if s := t.state.Load(); s != want {
-				return s
-			}
-		}
-		runtime.Gosched()
-	}
 	for {
 		t.parked.Store(1)
 		if s := t.state.Load(); s != want {

@@ -3,6 +3,8 @@ package rt
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -378,4 +380,165 @@ func TestReleaseRetiresExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release()
+}
+
+// TestDeadlineExecutorParksWhenIdle: the executor parks as soon as it
+// has settled a call — no spin or yield phase burns the CPU a caller
+// needs — and stays parked while the client is idle. The caller's own
+// Dekker flag is clear once the call has returned.
+func TestDeadlineExecutorParksWhenIdle(t *testing.T) {
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "idle", Handler: func(ctx *Ctx, args *Args) { args[0]++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	defer c.Release()
+	var args Args
+	for i := 0; i < 200; i++ {
+		if err := c.CallDeadline(svc.EP(), &args, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if args[0] != 200 {
+		t.Fatalf("args[0] = %d after 200 calls", args[0])
+	}
+	e := c.dl
+	if e.ticket.parked.Load() != 0 {
+		t.Fatal("caller's parked flag still set after the call returned")
+	}
+	waitCond(t, time.Second, "executor park", func() bool { return e.parked.Load() == 1 })
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		if e.parked.Load() != 1 || e.work.Load() != dlWorkNone {
+			t.Fatalf("idle executor left its park: parked = %d, work = %d", e.parked.Load(), e.work.Load())
+		}
+	}
+}
+
+// TestDeadlineHandoffNoLostWakeup: every park on either side of the
+// handoff is an advertise-then-re-check, so no wake-up is lost however
+// the caller, the executor, the wheel and a ctx cancel interleave.
+// Clients on their own goroutines mix instant, short-busy and
+// past-deadline handlers with ctx-cancelled calls; every call resolves
+// within a bound, and the counters settle exactly: Calls() is the
+// handler-run count, DeadlineExpirations is the number of ErrDeadline
+// returns, QuarantinedCDs drains to zero, and a soft Kill leaves no
+// handler running.
+func TestDeadlineHandoffNoLostWakeup(t *testing.T) {
+	const (
+		clients = 4
+		calls   = 300
+	)
+	sys := NewSystemShards(1)
+	defer sys.Close()
+	var ran, running atomic.Int64
+	entered := make([]chan struct{}, clients)
+	for i := range entered {
+		entered[i] = make(chan struct{}, 1)
+	}
+	svc, err := sys.Bind(ServiceConfig{Name: "handoff", Handler: func(ctx *Ctx, args *Args) {
+		running.Add(1)
+		defer running.Add(-1)
+		ran.Add(1)
+		switch args[0] {
+		case 1: // short busy
+			for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+			}
+		case 2: // past the deadline
+			time.Sleep(5 * time.Millisecond)
+		case 3: // the caller cancels once the handler has started
+			entered[args[1]] <- struct{}{}
+			time.Sleep(5 * time.Millisecond)
+		}
+		args[2] = args[0] + 1
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expired atomic.Int64
+	errc := make(chan error, clients)
+	for g := 0; g < clients; g++ {
+		go func(g int) {
+			c := sys.NewClientOnShard(0)
+			defer c.Release()
+			for i := 0; i < calls; i++ {
+				mode := uint64(i % 5)
+				if mode == 4 {
+					mode = 0 // instant through CallContext: no wheel to rescue a lost wake
+				}
+				args := Args{mode, uint64(g)}
+				start := time.Now()
+				var err error
+				switch {
+				case i%5 == 4:
+					ctx, cancel := context.WithCancel(context.Background())
+					err = c.CallContext(ctx, svc.EP(), &args)
+					cancel()
+				case mode == 3:
+					ctx, cancel := context.WithCancel(context.Background())
+					go func() { <-entered[g]; cancel() }()
+					err = c.CallContext(ctx, svc.EP(), &args)
+					cancel()
+				case mode == 2:
+					err = c.CallDeadline(svc.EP(), &args, 200*time.Microsecond)
+				default:
+					err = c.CallDeadline(svc.EP(), &args, time.Second)
+				}
+				if el := time.Since(start); el > 500*time.Millisecond {
+					errc <- fmt.Errorf("client %d call %d (mode %d) took %v", g, i, mode, el)
+					return
+				}
+				switch {
+				case err == nil:
+					if args[2] != mode+1 {
+						errc <- fmt.Errorf("client %d call %d: result %d, want %d", g, i, args[2], mode+1)
+						return
+					}
+				case errors.Is(err, ErrDeadline) && mode >= 2:
+					expired.Add(1)
+				default:
+					// An instant or short call the wheel had to rescue
+					// lost its wake-up.
+					errc <- fmt.Errorf("client %d call %d (mode %d): %v", g, i, mode, err)
+					return
+				}
+			}
+			errc <- nil
+		}(g)
+	}
+	timeout := time.After(30 * time.Second)
+	for g := 0; g < clients; g++ {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("a deadline call never resolved: lost wake-up")
+		}
+	}
+	if expired.Load() == 0 {
+		t.Fatal("no call was orphaned: the past-deadline and cancel legs never ran")
+	}
+	if err := sys.Kill(svc.EP(), false); err != nil {
+		t.Fatal(err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("soft Kill returned with %d handlers still running", n)
+	}
+	waitCond(t, 2*time.Second, "quarantine drain", func() bool {
+		return sys.Stats()[0].QuarantinedCDs == 0
+	})
+	st := sys.Stats()[0]
+	if got := svc.Calls(); got != ran.Load() || got != clients*calls {
+		t.Fatalf("Calls() = %d, handler ran %d times, issued %d", got, ran.Load(), clients*calls)
+	}
+	if st.DeadlineExpirations != expired.Load() {
+		t.Fatalf("DeadlineExpirations = %d, ErrDeadline returns = %d", st.DeadlineExpirations, expired.Load())
+	}
+	if st.HeldCDs != 0 {
+		t.Fatalf("HeldCDs = %d after every client released", st.HeldCDs)
+	}
 }

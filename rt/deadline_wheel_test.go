@@ -95,6 +95,13 @@ func TestCallContextCancelNoHealthEvidence(t *testing.T) {
 			t.Fatalf("expiry %d: %v", i, err)
 		}
 	}
+	// The expired calls' handlers signal entered too. Take both tokens,
+	// so the probe leg's canceller below waits for the probe's own
+	// handler: a stale token would cancel the probe before admission, and
+	// the call would never carry the probe at all.
+	for i := 0; i < 2; i++ {
+		<-entered
+	}
 	var good Args
 	if err := c.Call(svc.EP(), &good); !errors.Is(err, ErrServiceUnhealthy) {
 		t.Fatalf("after timeout run: %v, want shed", err)

@@ -189,6 +189,40 @@ func TestAbandonReclaimsBatch(t *testing.T) {
 	}
 }
 
+// TestAbandonedBatchAddLeavesLeasesToScavenger: a lease allocated, then
+// attached after the client died, is still tracked on the record, so
+// the scavenger settles it. An Add on the dead client's batch drops the
+// request without releasing the lease a second time — a second release
+// would drive the slab's lease count negative.
+func TestAbandonedBatchAddLeavesLeasesToScavenger(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	defer sys.Close()
+	svc, err := sys.Bind(ServiceConfig{Name: "b", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	b := c.NewBatch(svc.EP(), 4)
+	ref, _, err := c.AllocPayload(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Abandon()
+	waitCond(t, 2*time.Second, "lease scavenge", func() bool {
+		return sys.Stats()[0].ScavengedLeases == 1
+	})
+	var args Args
+	args.AttachPayload(ref)
+	b.Add(&args)
+	if b.Len() != 0 {
+		t.Fatalf("dead client's batch staged %d requests", b.Len())
+	}
+	if st := sys.Stats()[0]; st.LeasesActive != 0 || st.ScavengedLeases != 1 {
+		t.Fatalf("LeasesActive = %d, ScavengedLeases = %d, want 0 and 1", st.LeasesActive, st.ScavengedLeases)
+	}
+}
+
 // TestAbandonRetiresDeadlineExecutor: a client abandoned with a parked
 // deadline executor has the executor retired and its wheel node
 // unfiled — the wheel's registered count returns to zero, so the
@@ -213,6 +247,35 @@ func TestAbandonRetiresDeadlineExecutor(t *testing.T) {
 	})
 	if st := sys.Stats()[0]; st.ScavengedCDs != 1 {
 		t.Fatalf("ScavengedCDs = %d, want the deadline client's CD", st.ScavengedCDs)
+	}
+}
+
+// TestDeadlineCallOnScavengedHeldClientArmsNothing: a client that held
+// a descriptor and was scavenged before its first deadline call still
+// sees that hold from its own side. The call must fail without arming
+// an executor: the scavenger has already walked the record, so nothing
+// would ever retire the executor or unfile its wheel node.
+func TestDeadlineCallOnScavengedHeldClientArmsNothing(t *testing.T) {
+	leakCheck(t)
+	sys := NewSystemOptions(Options{Shards: 1, WatchdogInterval: time.Millisecond})
+	defer sys.Close()
+	sh := &sys.shards[0]
+	svc, err := sys.Bind(ServiceConfig{Name: "d", Handler: func(ctx *Ctx, args *Args) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.NewClientOnShard(0)
+	c.Hold()
+	c.Abandon()
+	waitCond(t, 2*time.Second, "held-CD scavenge", func() bool {
+		return sys.Stats()[0].ScavengedCDs == 1 && sh.reg.dead.Load() == 0
+	})
+	var args Args
+	if err := c.CallDeadline(svc.EP(), &args, time.Second); !errors.Is(err, ErrClientAbandoned) {
+		t.Fatalf("deadline call on a scavenged client: %v", err)
+	}
+	if n := sh.wheel.registered.Load(); n != 0 {
+		t.Fatalf("wheel.registered = %d: a dead client armed an executor", n)
 	}
 }
 
